@@ -18,24 +18,19 @@
 //!    the quad-tree partition, `bridge-adversarial` 2-cuts,
 //!    `hub-targeted`, and the mixed `replay` sequence) are built from the
 //!    ingested graph, serialized to disk, reloaded, and validated.
-//! 4. **Serve** — the selected backend is published as an epoch snapshot
-//!    and each suite is driven through a [`StreamServer`] with a bounded
-//!    in-flight window.  The default `--backend exact` freezes an
-//!    `H = G` structure at resilience 2 (every suite query answered
-//!    `Exact` and checked for equality with a ground-truth BFS on
-//!    `G ∖ F`); `--backend approx` runs the real FT-ABFS construction
-//!    over the ingested graph and checks every answer against its
-//!    declared contract instead — the right `Guarantee` tier, equal
-//!    reachability, and `true_d ≤ d_H ≤ ⌈α·true_d⌉ + β`.  **Any wrong
+//! 4. **Serve** — the graph is frozen as an `H = G` structure at
+//!    resilience 2 (so every suite query is answered `Exact`), published
+//!    as an epoch snapshot, and each suite is driven through a
+//!    [`StreamServer`] with a bounded in-flight window.  Every response
+//!    is checked against a ground-truth BFS on `G ∖ F`: **any wrong
 //!    answer exits non-zero**, smoke or not.
 //! 5. **Replay determinism** — the `replay` suite is driven twice; the
 //!    two response transcripts (sequence, epoch, distance, guarantee)
 //!    must be bit-for-bit identical.
 //!
 //! Results are spliced into `BENCH_query.json` as a `corpus` section
-//! (`corpus_approx` under `--backend approx`, so the two backends'
-//! sections coexist; E10 owns the rest of the file and rewrites it
-//! wholesale, so CI runs E10 before E13).
+//! (E10 owns the rest of the file and rewrites it wholesale, so CI runs
+//! E10 before E13).
 //!
 //! `--smoke` shrinks the run for CI **and enforces the checked-in
 //! ingestion-throughput floors** ([`SMOKE_TEXT_EDGES_PER_S_FLOOR`],
@@ -46,19 +41,18 @@
 //! Usage:
 //!
 //! ```text
-//! exp_corpus [--smoke] [--backend exact|approx] [--out PATH] [--dir DIR]
+//! exp_corpus [--smoke] [--out PATH] [--dir DIR]
 //! ```
 
 use ftbfs_bench::{json, Table};
-use ftbfs_core::{approx_ftbfs, ApproxParams};
 use ftbfs_corpus::{
     bridge_adversarial, correlated_spatial, csr_fingerprint, hub_targeted, ingest_path,
     replay_sequence, road_like, write_binary_path, write_text_path, EmbeddedGraph, IngestMetrics,
     QuadTree, ScenarioSuite, SuiteMetrics, FORMAT_BINARY, FORMAT_TEXT,
 };
 use ftbfs_graph::io::IngestOptions;
-use ftbfs_graph::{bfs, FaultSpec, Graph, GraphView, TieBreak, VertexId};
-use ftbfs_oracle::{FrozenApproxStructure, FrozenStructure, Guarantee, SnapshotVersion};
+use ftbfs_graph::{bfs, FaultSpec, Graph, GraphView, VertexId};
+use ftbfs_oracle::{FrozenStructure, Guarantee, SnapshotVersion};
 use ftbfs_serve::{EpochSnapshot, ServeConfig, ServeRequest, StreamServer};
 use ftbfs_telemetry::{names, MetricsRegistry};
 use std::collections::VecDeque;
@@ -238,51 +232,8 @@ fn ground_truth(graph: &Graph, spec: &FaultSpec, source: VertexId) -> Vec<Option
     graph.vertices().map(|v| result.distance(v)).collect()
 }
 
-/// Judges one served answer against ground truth for the active backend.
-///
-/// The exact backend must reproduce the BFS distance verbatim under an
-/// `Exact` guarantee.  The approximate backend must label every faulted
-/// in-resilience answer `Approx`, agree on reachability, and keep the
-/// distance inside `[true_d, ⌈α·true_d⌉ + β]`.
-fn answer_is_wrong(
-    approx: Option<ApproxParams>,
-    faults: usize,
-    dist: Option<Option<u32>>,
-    guarantee: Option<Guarantee>,
-    expected: Option<u32>,
-) -> bool {
-    let Some(params) = approx else {
-        // Every suite spec carries ≤ 2 faults and the structure was frozen
-        // at resilience 2, so anything but an Exact match is wrong.
-        return dist != Some(expected) || guarantee != Some(Guarantee::Exact);
-    };
-    let expected_tier = if faults == 0 {
-        Guarantee::Exact
-    } else {
-        Guarantee::Approx {
-            mult_num: params.mult_num,
-            mult_den: params.mult_den,
-            add: params.add,
-        }
-    };
-    if guarantee != Some(expected_tier) {
-        return true;
-    }
-    match (dist, expected) {
-        (Some(None), None) => false,
-        (Some(Some(d)), Some(true_d)) => {
-            let bound = expected_tier
-                .stretch_bound(true_d)
-                .expect("bounded guarantee has a stretch bound");
-            u64::from(d) < u64::from(true_d) || u64::from(d) > bound
-        }
-        _ => true,
-    }
-}
-
 /// Runs one suite through the server and checks every answer against the
 /// ground-truth BFS.  Also records the suite's telemetry counters.
-#[allow(clippy::too_many_arguments)]
 fn run_suite(
     server: &StreamServer,
     graph: &Graph,
@@ -291,7 +242,6 @@ fn run_suite(
     targets_per_spec: usize,
     repeats: usize,
     registry: &MetricsRegistry,
-    approx: Option<ApproxParams>,
 ) -> (SuiteRow, Transcript) {
     let metrics = SuiteMetrics::register(registry, &suite.name, suite.kind.slug());
     metrics.faults.add(suite.faults.len() as u64);
@@ -315,13 +265,9 @@ fn run_suite(
             ftbfs_serve::ServeTarget::One(t) => truth[spec_of[i]][t.index()],
             _ => unreachable!("E13 only issues distance requests"),
         };
-        if answer_is_wrong(
-            approx,
-            requests[i].faults.len(),
-            *dist,
-            *guarantee,
-            expected,
-        ) {
+        // Every suite spec carries ≤ 2 faults and the structure was frozen
+        // at resilience 2, so anything but an Exact match is wrong.
+        if *dist != Some(expected) || *guarantee != Some(Guarantee::Exact) {
             wrong += 1;
         }
     }
@@ -358,20 +304,6 @@ fn persist_and_reload(suite: &ScenarioSuite, dir: &Path, graph: &Graph) -> Scena
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let smoke = args.iter().any(|a| a == "--smoke");
-    let backend = args
-        .iter()
-        .position(|a| a == "--backend")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "exact".to_string());
-    let approx: Option<ApproxParams> = match backend.as_str() {
-        "exact" => None,
-        "approx" => Some(ApproxParams::DEFAULT),
-        other => {
-            eprintln!("unknown --backend {other} (expected \"exact\" or \"approx\")");
-            std::process::exit(2);
-        }
-    };
     let out_path = args
         .iter()
         .position(|a| a == "--out")
@@ -465,41 +397,15 @@ fn main() {
     }
 
     // ---- 4. Serve every suite, ground-truth checked ----------------------
-    // Exact backend: an `H = G` structure at resilience 2, every answer
-    // `Exact`.  Approx backend: the real FT-ABFS construction over the
-    // ingested graph, every faulted answer under its stretch contract.
     let source = VertexId(0);
-    let snapshot_bytes = match approx {
-        None => FrozenStructure::from_edges(&graph, &[source], 2, graph.edges())
-            .save_with(SnapshotVersion::V2),
-        Some(params) => {
-            let w = TieBreak::new(&graph, 0xE13);
-            let built = approx_ftbfs(&graph, &w, source, params);
-            println!(
-                "approx backend: {} structure edges (tree {}, forests {}, backups {}) \
-                 under alpha = {}/{}, beta = {}, theta = {}",
-                built.stats.total(),
-                built.stats.tree_edges,
-                built.stats.forest_edges,
-                built.stats.backup_edges,
-                params.mult_num,
-                params.mult_den,
-                params.add,
-                params.theta
-            );
-            FrozenApproxStructure::freeze(&graph, &built).save_with(SnapshotVersion::V2)
-        }
-    };
-    let snapshot =
-        EpochSnapshot::from_bytes(snapshot_bytes).expect("freshly saved snapshot validates");
+    let frozen = FrozenStructure::from_edges(&graph, &[source], 2, graph.edges());
+    let snapshot = EpochSnapshot::from_bytes(frozen.save_with(SnapshotVersion::V2))
+        .expect("freshly saved snapshot validates");
     let server = StreamServer::launch(snapshot, ServeConfig::new().workers(2));
 
     let (targets_per_spec, repeats) = if smoke { (2, 10) } else { (4, 25) };
     let mut suite_table = Table::new(
-        &format!(
-            "E13 — scenario suites through the serving stack ({backend} backend, \
-             ground-truth checked)"
-        ),
+        "E13 — scenario suites through the serving stack (ground-truth checked)",
         &[
             "suite", "kind", "specs", "requests", "req/s", "p50_us", "p99_us", "wrong",
         ],
@@ -515,7 +421,6 @@ fn main() {
             targets_per_spec,
             repeats,
             &registry,
-            approx,
         );
         if suite.name == "replay" {
             replay_transcript = Some(transcript);
@@ -552,7 +457,7 @@ fn main() {
 
     // ---- Report ----------------------------------------------------------
     let scrape = registry.scrape();
-    let mut section = format!("{{\n    \"backend\": \"{backend}\",\n    \"graph\": ");
+    let mut section = String::from("{\n    \"graph\": ");
     section.push_str(&format!(
         "{{\"generator\": \"road_like\", \"rows\": {rows}, \"cols\": {cols}, \
          \"shortcuts\": {shortcuts}, \"vertices\": {n}, \"edges\": {}, \
@@ -594,39 +499,25 @@ fn main() {
          \"binary_edges_per_s_floor\": {SMOKE_BINARY_EDGES_PER_S_FLOOR:.1}}}\n  }}",
         json::histogram_quantiles(&scrape, &[names::CORPUS_INGEST_NS])
     ));
-    let section_key = if approx.is_some() {
-        "corpus_approx"
-    } else {
-        "corpus"
-    };
     let spliced = json::splice_section(
         std::fs::read_to_string(&out_path).ok(),
-        section_key,
-        section_key,
+        "corpus",
+        "corpus",
         &section,
     );
     std::fs::write(&out_path, &spliced).expect("write corpus JSON");
-    println!("wrote {section_key} section to {out_path}");
+    println!("wrote corpus section to {out_path}");
 
     // ---- Gates -----------------------------------------------------------
     // Correctness gates hold in every mode: the experiment is only
     // meaningful if the serving stack reproduces ground truth.
     let total_wrong: usize = suite_rows.iter().map(|r| r.wrong).sum();
     if total_wrong > 0 {
-        if approx.is_some() {
-            eprintln!(
-                "STRETCH VIOLATION: {total_wrong} answers broke the (alpha, beta) \
-                 contract, reachability, or the guarantee tier"
-            );
-        } else {
-            eprintln!(
-                "CORRECTNESS VIOLATION: {total_wrong} answers disagreed with ground-truth BFS"
-            );
-        }
+        eprintln!("CORRECTNESS VIOLATION: {total_wrong} answers disagreed with ground-truth BFS");
         std::process::exit(1);
     }
     println!(
-        "ground truth ok ({backend} backend): {} answers across {} suites, zero wrong",
+        "ground truth ok: {} answers across {} suites, zero wrong",
         suite_rows.iter().map(|r| r.requests).sum::<usize>(),
         suite_rows.len()
     );

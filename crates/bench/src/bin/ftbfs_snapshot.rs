@@ -5,11 +5,10 @@
 //!
 //! * `inspect <snapshot> [--check]` — prints the v2 outer layout of a
 //!   snapshot file (format, version, fingerprint, base range, and the
-//!   full section table with decoded four-character kind tags); for
-//!   approximate (`FTBA`) snapshots, also the stored `(α, β, θ)` stretch
-//!   contract.  Parsing already validates frame and per-section
-//!   checksums; `--check` additionally opens the snapshot as a serving
-//!   view, running the full semantic validation a server would.
+//!   full section table with decoded four-character kind tags).  Parsing
+//!   already validates frame and per-section checksums; `--check`
+//!   additionally opens the snapshot as a serving view, running the full
+//!   semantic validation a server would.
 //! * `verify <snapshot>...` — deep-validates each file (v1 snapshots are
 //!   loaded, v2 snapshots are opened as views) and reports one `ok`/
 //!   `FAIL` line per file; exits non-zero if any file fails.
@@ -22,11 +21,9 @@
 //! errors.
 
 use ftbfs_bench::Table;
-use ftbfs_core::ApproxParams;
 use ftbfs_oracle::{
-    snapshot_layout, FrozenApproxStructure, FrozenApproxView, FrozenMultiStructure,
-    FrozenMultiView, FrozenStructure, FrozenView, SnapshotError, SNAPSHOT_APPROX_MAGIC,
-    SNAPSHOT_MAGIC, SNAPSHOT_MULTI_MAGIC,
+    snapshot_layout, FrozenMultiStructure, FrozenMultiView, FrozenStructure, FrozenView,
+    SnapshotError, SNAPSHOT_MAGIC, SNAPSHOT_MULTI_MAGIC,
 };
 use ftbfs_telemetry::TelemetrySnapshot;
 use std::process::ExitCode;
@@ -47,63 +44,30 @@ fn family(data: &[u8]) -> Option<&'static str> {
         Some("single (FTBO)")
     } else if data[..4] == SNAPSHOT_MULTI_MAGIC {
         Some("multi (FTBM)")
-    } else if data[..4] == SNAPSHOT_APPROX_MAGIC {
-        Some("approx (FTBA)")
     } else {
         None
     }
 }
 
-/// Renders the stored stretch contract of an approximate snapshot.
-fn stretch_line(p: ApproxParams) -> String {
-    format!(
-        "stretch contract: alpha = {}/{}, beta = {}, theta = {}",
-        p.mult_num, p.mult_den, p.add, p.theta
-    )
-}
-
-/// Reads the `(α, β, θ)` an approximate snapshot's header declares,
-/// whatever its framing version.
-fn approx_params(data: &[u8]) -> Result<ApproxParams, String> {
-    match snapshot_layout(data) {
-        Ok(_) => FrozenApproxView::open_bytes(data)
-            .map(|v| v.params())
-            .map_err(|e| e.to_string()),
-        Err(SnapshotError::UnsupportedVersion(1)) => FrozenApproxStructure::load(data)
-            .map(|s| s.params())
-            .map_err(|e| e.to_string()),
-        Err(e) => Err(e.to_string()),
-    }
-}
-
 /// Opens `data` the way a server would, running full semantic validation.
 /// v2 bytes open as zero-rebuild views; v1 bytes take the load path.
-fn deep_validate(data: &[u8]) -> Result<String, String> {
+fn deep_validate(data: &[u8]) -> Result<&'static str, String> {
     match family(data) {
         Some("single (FTBO)") => match snapshot_layout(data) {
             Ok(_) => FrozenView::open_bytes(data)
-                .map(|_| "v2 view opened".to_string())
+                .map(|_| "v2 view opened")
                 .map_err(|e| e.to_string()),
             Err(SnapshotError::UnsupportedVersion(1)) => FrozenStructure::load(data)
-                .map(|_| "v1 loaded".to_string())
-                .map_err(|e| e.to_string()),
-            Err(e) => Err(e.to_string()),
-        },
-        Some("approx (FTBA)") => match snapshot_layout(data) {
-            Ok(_) => FrozenApproxView::open_bytes(data)
-                .map(|v| format!("v2 view opened, {}", stretch_line(v.params())))
-                .map_err(|e| e.to_string()),
-            Err(SnapshotError::UnsupportedVersion(1)) => FrozenApproxStructure::load(data)
-                .map(|s| format!("v1 loaded, {}", stretch_line(s.params())))
+                .map(|_| "v1 loaded")
                 .map_err(|e| e.to_string()),
             Err(e) => Err(e.to_string()),
         },
         Some(_) => match snapshot_layout(data) {
             Ok(_) => FrozenMultiView::open_bytes(data)
-                .map(|_| "v2 view opened".to_string())
+                .map(|_| "v2 view opened")
                 .map_err(|e| e.to_string()),
             Err(SnapshotError::UnsupportedVersion(1)) => FrozenMultiStructure::load(data)
-                .map(|_| "v1 loaded".to_string())
+                .map(|_| "v1 loaded")
                 .map_err(|e| e.to_string()),
             Err(e) => Err(e.to_string()),
         },
@@ -130,15 +94,6 @@ fn inspect(path: &str, check: bool) -> ExitCode {
                 "{path}: {kind} v1 snapshot, {} bytes (no section table; v1 rebuilds on load)",
                 data.len()
             );
-            if kind == "approx (FTBA)" {
-                match approx_params(&data) {
-                    Ok(p) => println!("{}", stretch_line(p)),
-                    Err(e) => {
-                        eprintln!("{path}: {e}");
-                        return ExitCode::from(1);
-                    }
-                }
-            }
             if check {
                 return report_check(path, &data);
             }
@@ -171,15 +126,6 @@ fn inspect(path: &str, check: bool) -> ExitCode {
         ]);
     }
     table.print();
-    if kind == "approx (FTBA)" {
-        match approx_params(&data) {
-            Ok(p) => println!("{}", stretch_line(p)),
-            Err(e) => {
-                eprintln!("{path}: {e}");
-                return ExitCode::from(1);
-            }
-        }
-    }
     if check {
         return report_check(path, &data);
     }

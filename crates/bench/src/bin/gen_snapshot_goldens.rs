@@ -23,9 +23,9 @@
 //! `crates/oracle/tests/snapshot_goldens.rs` from the printed table, and
 //! commit the new fixtures alongside the bump.
 
-use ftbfs_core::{ApproxBuildStats, ApproxFtBfs, ApproxParams, FtBfsStructure, APPROX_RESILIENCE};
+use ftbfs_core::FtBfsStructure;
 use ftbfs_graph::{generators, EdgeId, Graph, VertexId};
-use ftbfs_oracle::{FrozenApproxStructure, FrozenMultiStructure, FrozenStructure, SnapshotVersion};
+use ftbfs_oracle::{FrozenMultiStructure, FrozenStructure, SnapshotVersion};
 use std::path::PathBuf;
 
 /// The deterministic single-source fixture: an explicit full-edge-set
@@ -55,21 +55,6 @@ fn golden_multi() -> (Graph, FrozenMultiStructure) {
     (g, frozen)
 }
 
-/// The deterministic approximate fixture: the whole edge set of a seeded
-/// G(n, p) draw under the default `(α, β, θ)` contract.  Like the other
-/// fixtures it bypasses the construction algorithm — the explicit edge
-/// set pins the bytes to the generators and the FTBA encoder alone.
-fn golden_approx() -> (Graph, FrozenApproxStructure) {
-    let g = generators::connected_gnp(18, 0.22, 1504);
-    let built = ApproxFtBfs {
-        structure: FtBfsStructure::from_edges(vec![VertexId(0)], APPROX_RESILIENCE, g.edges()),
-        params: ApproxParams::DEFAULT,
-        stats: ApproxBuildStats::default(),
-    };
-    let frozen = FrozenApproxStructure::freeze(&g, &built);
-    (g, frozen)
-}
-
 fn testdata_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("..")
@@ -81,7 +66,6 @@ fn main() {
     let check = std::env::args().any(|a| a == "--check");
     let (_, single) = golden_single();
     let (_, multi) = golden_multi();
-    let (_, approx) = golden_approx();
     let goldens: Vec<(&str, u64, Vec<u8>)> = vec![
         (
             "golden_single_v1.ftbo",
@@ -102,16 +86,6 @@ fn main() {
             "golden_multi_v2.ftbm",
             multi.fingerprint(),
             multi.save_with(SnapshotVersion::V2),
-        ),
-        (
-            "golden_approx_v1.ftba",
-            approx.fingerprint(),
-            approx.save_with(SnapshotVersion::V1),
-        ),
-        (
-            "golden_approx_v2.ftba",
-            approx.fingerprint(),
-            approx.save_with(SnapshotVersion::V2),
         ),
     ];
 

@@ -15,9 +15,6 @@
 //!   enumeration (the generalisation sketched at the end of Section 1);
 //! * [`approx`] — the `O(log n)` approximation algorithm for Minimum FT-MBFS
 //!   (Section 5, Theorem 1.3) with its greedy [`setcover`] substrate;
-//! * [`approx_ftbfs`] — the FT-ABFS construction (Parter–Peleg, arXiv
-//!   1406.6169): `O(n·θ)`-size dual-failure structures with an `(α, β)`
-//!   stretch contract and the reinforcement knob `θ` of arXiv 1504.04169;
 //! * [`ftdiam`] — the FT-diameter size bound of Observation 1.6;
 //! * [`structure`] — the [`FtBfsStructure`] output type shared by all of the
 //!   above.
@@ -40,7 +37,6 @@
 #![warn(missing_docs)]
 
 pub mod approx;
-pub mod approx_ftbfs;
 pub mod dual;
 pub mod ftdiam;
 pub mod multi;
@@ -49,9 +45,6 @@ pub mod single;
 pub mod structure;
 
 pub use approx::{approx_minimum_ftmbfs, enumerate_fault_sets};
-pub use approx_ftbfs::{
-    approx_ftbfs, ApproxBuildStats, ApproxFtBfs, ApproxParams, APPROX_RESILIENCE,
-};
 pub use dual::{
     dual_failure_ftbfs, dual_failure_ftmbfs, DualFtBfs, DualFtBfsBuilder, SelectionStrategy,
 };

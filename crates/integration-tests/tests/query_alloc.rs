@@ -6,7 +6,10 @@
 //!
 //! Measured with a counting wrapper around the system allocator, which
 //! needs `unsafe` for the `GlobalAlloc` impl — the one place in the
-//! workspace where the `unsafe_code` lint is locally allowed.
+//! workspace where the `unsafe_code` lint is locally allowed.  The count
+//! is per thread: libtest runs these tests in parallel, and a shared
+//! counter would charge one test's set-up allocations to another test's
+//! measured window.
 
 #![allow(unsafe_code)]
 
@@ -15,17 +18,26 @@ use ftbfs_core::multi_failure_ftmbfs_parts;
 use ftbfs_graph::{generators, EdgeId, FaultSpec, TieBreak, VertexId};
 use ftbfs_oracle::{Freeze, FrozenMultiStructure, FrozenView, Query, QueryEngine, SnapshotVersion};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 /// Counts every allocation and reallocation routed through the global
-/// allocator (deallocations are free and not counted).
+/// allocator on the calling thread (deallocations are free and not
+/// counted).
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // `const` init: no lazy initialisation and no destructor, so touching
+    // it from inside the allocator cannot recurse into the allocator.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_allocation() {
+    ALLOCATIONS.with(|c| c.set(c.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.alloc(layout)
     }
 
@@ -34,7 +46,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -42,8 +54,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// Allocations made so far on the calling thread.
 fn allocation_count() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
+    ALLOCATIONS.with(Cell::get)
 }
 
 #[test]

@@ -13,20 +13,13 @@
 //! suite checks the *guarantee contract* instead: `try_distance` flags the
 //! answer [`Guarantee::BestEffort`] and the value equals ground-truth BFS
 //! on `H ∖ F` (exact inside the structure, an upper bound on `G ∖ F`).
-//!
-//! Approximate backends (`FrozenApproxStructure` / `FrozenApproxView`) get
-//! a *stretch* variant of the suite instead of equality: every faulted
-//! in-resilience answer must be flagged [`Guarantee::Approx`], agree with
-//! `G ∖ F` on reachability, and satisfy `true_d ≤ d_H ≤ ⌈α·true_d⌉ + β` —
-//! while exact backends must **never** report `Approx` (property-tested).
 
 use ftbfs_core::dual::DualFtBfsBuilder;
-use ftbfs_core::{approx_ftbfs, multi_failure_ftmbfs_parts, ApproxParams};
+use ftbfs_core::multi_failure_ftmbfs_parts;
 use ftbfs_graph::{bfs, generators, EdgeId, FaultSpec, Graph, GraphView, TieBreak, VertexId};
 use ftbfs_oracle::{
-    DistanceOracle, Freeze, FrozenApproxStructure, FrozenApproxView, FrozenMultiStructure,
-    FrozenMultiView, FrozenStructure, FrozenView, Guarantee, Query, QueryEngine, QueryError,
-    SnapshotSource, SnapshotVersion,
+    DistanceOracle, Freeze, FrozenMultiStructure, FrozenMultiView, FrozenStructure, FrozenView,
+    Guarantee, Query, QueryEngine, QueryError, SnapshotSource, SnapshotVersion,
 };
 use ftbfs_serve::ThroughputHarness;
 use proptest::prelude::*;
@@ -130,127 +123,6 @@ fn assert_oracle_matches_ground_truth<O: DistanceOracle>(g: &Graph, oracle: &O, 
             assert_eq!(matrix.row(row), &expected[..], "matrix row {row}");
         }
         assert_eq!(matrix.vertex_count(), n);
-    }
-}
-
-/// The stretch variant of the core assertion, for approximate backends:
-/// under every sampled fault spec, every answer carries the right
-/// guarantee tier for its fault count, agrees with ground truth on
-/// reachability, and — where reachable — satisfies the declared `(α, β)`
-/// contract `true_d ≤ d_H ≤ ⌈α·true_d⌉ + β`.  Fault-free answers must
-/// still be exactly the BFS distance (the primary tree is embedded
-/// whole).
-fn assert_approx_oracle_honours_contract<O: DistanceOracle>(
-    g: &Graph,
-    oracle: &O,
-    params: ApproxParams,
-    stride: usize,
-) {
-    let mut engine = QueryEngine::new();
-    let source = oracle.sources()[0];
-    let declared = Guarantee::Approx {
-        mult_num: params.mult_num,
-        mult_den: params.mult_den,
-        add: params.add,
-    };
-    for spec in fault_specs(g, stride) {
-        let expected = ground_truth(g, source, &spec);
-        for v in g.vertices() {
-            let answer = engine
-                .try_distance_from(oracle, source, v, &spec)
-                .expect("in-range query on a served source");
-            let guarantee = answer.guarantee();
-            match spec.len() {
-                0 => {
-                    assert_eq!(guarantee, Guarantee::Exact, "fault-free answers are exact");
-                    assert_eq!(answer.into_value(), expected[v.index()], "target {v:?}");
-                }
-                1 | 2 => {
-                    assert_eq!(
-                        guarantee, declared,
-                        "in-resilience faulted answers declare the stretch contract \
-                         (target {v:?}, spec {spec:?})"
-                    );
-                    match (answer.into_value(), expected[v.index()]) {
-                        (None, None) => {}
-                        (Some(d), Some(true_d)) => {
-                            let bound = guarantee
-                                .stretch_bound(true_d)
-                                .expect("Approx is a bounded guarantee");
-                            assert!(
-                                u64::from(d) >= u64::from(true_d),
-                                "answers never undershoot (H ⊆ G): {d} < {true_d} \
-                                 at {v:?} under {spec:?}"
-                            );
-                            assert!(
-                                u64::from(d) <= bound,
-                                "stretch bound violated: d_H = {d} > ⌈α·{true_d}⌉ + β = {bound} \
-                                 at {v:?} under {spec:?}"
-                            );
-                        }
-                        (got, want) => panic!(
-                            "reachability must match G ∖ F: got {got:?}, want {want:?} \
-                             at {v:?} under {spec:?}"
-                        ),
-                    }
-                }
-                _ => unreachable!("fault_specs samples |F| ≤ 2"),
-            }
-        }
-    }
-    // Beyond the resilience the contract degrades to BestEffort, exactly
-    // like the exact backends.
-    let edges: Vec<EdgeId> = g.edges().collect();
-    let beyond = FaultSpec::from([edges[0], edges[edges.len() / 2], edges[edges.len() - 1]]);
-    let answer = engine
-        .try_distance_from(oracle, source, VertexId(0), &beyond)
-        .unwrap();
-    assert_eq!(answer.guarantee(), Guarantee::BestEffort);
-}
-
-fn approx_frozen_for(g: &Graph, params: ApproxParams, seed: u64) -> FrozenApproxStructure {
-    let w = TieBreak::new(g, seed);
-    FrozenApproxStructure::freeze(g, &approx_ftbfs(g, &w, VertexId(0), params))
-}
-
-#[test]
-fn approx_backend_honours_the_stretch_contract() {
-    for seed in [2015u64, 77, 4169] {
-        let g = generators::connected_gnp(34, 0.14, seed);
-        let frozen = approx_frozen_for(&g, ApproxParams::DEFAULT, seed);
-        assert_approx_oracle_honours_contract(&g, &frozen, ApproxParams::DEFAULT, 7);
-    }
-    // Structured families, including θ = 0 (no reinforcement).
-    let cycle = generators::cycle(24);
-    let params = ApproxParams::DEFAULT.with_theta(0);
-    let frozen = approx_frozen_for(&cycle, params, 1);
-    assert_approx_oracle_honours_contract(&cycle, &frozen, params, 3);
-    let grid = generators::grid(5, 6);
-    let frozen = approx_frozen_for(&grid, ApproxParams::DEFAULT, 2);
-    assert_approx_oracle_honours_contract(&grid, &frozen, ApproxParams::DEFAULT, 5);
-}
-
-#[test]
-fn approx_view_honours_the_stretch_contract_from_mapped_bytes() {
-    // The FTBA v2 acceptance bar mirrors the exact backends': a view
-    // opened from the bytes passes the same contract suite the rebuilt
-    // structure does, and the two answer identically.
-    let g = generators::connected_gnp(30, 0.16, 21);
-    let frozen = approx_frozen_for(&g, ApproxParams::DEFAULT, 21);
-    let bytes = frozen.save_with(SnapshotVersion::V2);
-    let view = FrozenApproxView::open_bytes(&bytes).expect("FTBA v2 opens");
-    assert_eq!(view.fingerprint(), frozen.fingerprint());
-    assert_approx_oracle_honours_contract(&g, &view, ApproxParams::DEFAULT, 6);
-    let mut ea = QueryEngine::new();
-    let mut eb = QueryEngine::new();
-    for spec in fault_specs(&g, 6) {
-        for v in g.vertices() {
-            assert_eq!(
-                ea.try_distance(&frozen, v, &spec).unwrap(),
-                eb.try_distance(&view, v, &spec).unwrap(),
-                "target {v:?} spec {spec:?}"
-            );
-        }
     }
 }
 
@@ -516,50 +388,6 @@ proptest! {
         // And the reconstructed mutable structure freezes back to the
         // same fingerprint.
         prop_assert_eq!(loaded.to_structure().freeze(&g).fingerprint(), frozen.fingerprint());
-    }
-
-    /// Exact backends never report `Guarantee::Approx` — neither from the
-    /// oracle's own `guarantee()` nor on any engine answer, at any fault
-    /// count, on structures or their mapped views.  The `Approx` tier is
-    /// the approximate backend's alone; an exact backend leaking it would
-    /// falsely weaken the serving contract.
-    #[test]
-    fn approx_is_never_reported_on_exact_backends(n in 10usize..26, p in 0.12f64..0.3, seed in 0u64..400) {
-        let g = generators::connected_gnp(n, p, seed);
-        let frozen = frozen_for(&g, seed);
-        let v2 = frozen.save_with(SnapshotVersion::V2);
-        let view = FrozenView::open_bytes(&v2).expect("v2 opens");
-        let edges: Vec<EdgeId> = g.edges().collect();
-        let m = edges.len();
-        let specs = [
-            FaultSpec::None,
-            FaultSpec::One(edges[seed as usize % m]),
-            FaultSpec::from((edges[0], edges[m / 2])),
-            FaultSpec::from([edges[0], edges[m / 3], edges[m - 1]]),
-        ];
-        let mut engine = QueryEngine::new();
-        for spec in &specs {
-            prop_assert!(!frozen.guarantee(spec).is_approx(), "spec {:?}", spec);
-            prop_assert!(!view.guarantee(spec).is_approx(), "spec {:?}", spec);
-            for v in g.vertices() {
-                let answer = engine.try_distance(&frozen, v, spec).unwrap();
-                prop_assert!(
-                    !answer.guarantee().is_approx(),
-                    "exact backend answered Approx at {:?} under {:?}", v, spec
-                );
-            }
-        }
-        // Conversely the approximate backend must declare Approx on every
-        // in-resilience faulted spec — the tiers partition cleanly.
-        let approx = approx_frozen_for(&g, ApproxParams::DEFAULT, seed);
-        for spec in &specs {
-            let tier = approx.guarantee(spec);
-            match spec.len() {
-                0 => prop_assert!(tier.is_exact()),
-                1 | 2 => prop_assert!(tier.is_approx()),
-                _ => prop_assert!(!tier.is_bounded()),
-            }
-        }
     }
 
     /// The multi-source snapshot round-trips to identical `S × V` answers.

@@ -21,6 +21,7 @@ use ftbfs_oracle::{
     snapshot_layout, Freeze, FrozenMultiStructure, FrozenMultiView, FrozenStructure, FrozenView,
     SnapshotError, SnapshotVersion, SNAPSHOT_ALIGN, SNAPSHOT_MAGIC, SNAPSHOT_MULTI_MAGIC,
 };
+use ftbfs_serve::EpochSnapshot;
 use proptest::prelude::*;
 
 fn single_snapshot_with(seed: u64, version: SnapshotVersion) -> Vec<u8> {
@@ -186,6 +187,22 @@ fn wrong_and_foreign_magic_are_bad_magic() {
         FrozenStructure::load(b"FTBMxxxxxxxxxxxx").unwrap_err(),
         SnapshotError::BadMagic
     );
+    // The retired approximate format used the single-source v2 framing
+    // under a magic that differed from "FTBO" only in its last byte ('A');
+    // such a file is now a foreign magic to every reader, the layout
+    // parser and the serving epoch included.
+    let mut retired = single_snapshot_with(7, SnapshotVersion::V2);
+    retired[3] = b'A';
+    assert_single_rejects(&retired, "retired approximate magic");
+    assert_multi_rejects(&retired, "retired approximate magic");
+    assert_eq!(
+        snapshot_layout(&retired).unwrap_err(),
+        SnapshotError::BadMagic
+    );
+    assert!(matches!(
+        EpochSnapshot::from_bytes(retired),
+        Err(SnapshotError::BadMagic)
+    ));
 }
 
 #[test]

@@ -33,33 +33,24 @@ use ftbfs_graph::bytes::WordSlice;
 use ftbfs_graph::{EdgeId, FaultSpec, VertexId};
 use std::fmt;
 
-/// How strongly an answer is guaranteed to relate to the true post-failure
+/// How strongly an answer is guaranteed to equal the true post-failure
 /// distance in `G ∖ F`; see the [module docs](self) for the contract.
 ///
-/// The enum is `#[non_exhaustive]`: new guarantee contracts may be added
-/// (the approximate backends added [`Guarantee::Approx`]); match with a
-/// wildcard arm and treat unknown variants as weaker than
-/// [`Guarantee::Exact`].
+/// The enum is `#[non_exhaustive]`: match with a wildcard arm and treat
+/// unknown variants as weaker than [`Guarantee::Exact`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum Guarantee {
-    /// `|F| ≤ resilience`: the answer equals `dist(s, v, G ∖ F)` by the
-    /// structure's construction theorem.
+    /// `|F| ≤ resilience`: the answer equals `dist(s, v, G ∖ F)`.
+    ///
+    /// For a `Cons2FTBFS` structure this is Theorem 1.1 of the paper: its
+    /// output is a dual-failure FT-BFS structure, so `dist(s, v, H ∖ F) =
+    /// dist(s, v, G ∖ F)` for `|F| ≤ 2`.  The single-failure structure is
+    /// the `f = 1` case of Parter–Peleg (ESA 2013), the relevant-fault
+    /// `f`-failure structure rests on the `f`-failure analogue of
+    /// Lemma 3.2, and the Section 5 set-cover structure on Lemma 5.1.  An
+    /// `H = G` structure is exact trivially: `H ∖ F = G ∖ F`.
     Exact,
-    /// `|F| ≤ resilience` on an approximate backend: the answer `d` is
-    /// sandwiched by `dist(s, v, G∖F) ≤ d ≤ α·dist(s, v, G∖F) + β`, where
-    /// the multiplicative stretch is `α = mult_num / mult_den` and the
-    /// additive stretch is `β = add` (and reachability is preserved
-    /// exactly).  Carried by the FT-ABFS structures of `ftbfs-core`'s
-    /// `approx_ftbfs` module.
-    Approx {
-        /// Numerator of the multiplicative stretch `α`.
-        mult_num: u32,
-        /// Denominator of the multiplicative stretch `α` (never zero).
-        mult_den: u32,
-        /// Additive stretch `β`.
-        add: u32,
-    },
     /// `|F| > resilience`: the answer is `dist(s, v, H ∖ F)` — exact inside
     /// the structure and an upper bound on `dist(s, v, G ∖ F)`, but not
     /// guaranteed equal to it.
@@ -70,40 +61,6 @@ impl Guarantee {
     /// Returns `true` for [`Guarantee::Exact`].
     pub fn is_exact(self) -> bool {
         matches!(self, Guarantee::Exact)
-    }
-
-    /// Returns `true` for [`Guarantee::Approx`] — a bounded-stretch answer
-    /// within the structure's resilience.
-    pub fn is_approx(self) -> bool {
-        matches!(self, Guarantee::Approx { .. })
-    }
-
-    /// Returns `true` if the answer carries *some* bound relating it to the
-    /// true `G ∖ F` distance: [`Guarantee::Exact`] (equality) or
-    /// [`Guarantee::Approx`] (sandwich bound).  [`Guarantee::BestEffort`]
-    /// and unknown future variants return `false`.
-    pub fn is_bounded(self) -> bool {
-        matches!(self, Guarantee::Exact | Guarantee::Approx { .. })
-    }
-
-    /// For a bounded guarantee, the largest answer permitted for a true
-    /// post-failure distance `d`: `d` itself for [`Guarantee::Exact`],
-    /// `⌈α·d⌉ + β` for [`Guarantee::Approx`].  `None` for
-    /// [`Guarantee::BestEffort`] (and unknown variants), which promise no
-    /// upper bound.
-    pub fn stretch_bound(self, true_distance: u32) -> Option<u64> {
-        match self {
-            Guarantee::Exact => Some(true_distance as u64),
-            Guarantee::Approx {
-                mult_num,
-                mult_den,
-                add,
-            } => {
-                let d = true_distance as u64;
-                Some((d * mult_num as u64).div_ceil(mult_den.max(1) as u64) + add as u64)
-            }
-            _ => None,
-        }
     }
 }
 
@@ -488,29 +445,6 @@ mod tests {
         assert_eq!(b.into_value(), Some(4));
         let c = Answer::new((), Guarantee::BestEffort);
         assert!(!c.is_exact());
-    }
-
-    #[test]
-    fn approx_guarantee_classification_and_bound() {
-        let g = Guarantee::Approx {
-            mult_num: 3,
-            mult_den: 1,
-            add: 4,
-        };
-        assert!(!g.is_exact());
-        assert!(g.is_approx());
-        assert!(g.is_bounded());
-        assert!(Guarantee::Exact.is_bounded());
-        assert!(!Guarantee::BestEffort.is_bounded());
-        assert_eq!(g.stretch_bound(2), Some(10));
-        assert_eq!(Guarantee::Exact.stretch_bound(2), Some(2));
-        assert_eq!(Guarantee::BestEffort.stretch_bound(2), None);
-        let half = Guarantee::Approx {
-            mult_num: 3,
-            mult_den: 2,
-            add: 1,
-        };
-        assert_eq!(half.stretch_bound(3), Some(6)); // ceil(9/2) + 1
     }
 
     #[test]

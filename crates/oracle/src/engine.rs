@@ -106,9 +106,6 @@ pub struct QueryStats {
     /// Queries whose answers carried [`Guarantee::BestEffort`] (fault sets
     /// larger than the oracle's declared resilience).
     pub best_effort: u64,
-    /// Queries whose answers carried [`Guarantee::Approx`] (bounded-stretch
-    /// answers from an approximate backend within its resilience).
-    pub approx: u64,
 }
 
 /// One materialised restriction in a fault-LRU partition.
@@ -548,16 +545,9 @@ impl<R: QueryRecorder> QueryEngine<R> {
     /// Counts and returns the guarantee answers under `spec` carry.
     fn note_guarantee<O: DistanceOracle>(&mut self, oracle: &O, spec: &FaultSpec) -> Guarantee {
         let g = oracle.guarantee(spec);
-        match g {
-            Guarantee::BestEffort => {
-                self.stats.best_effort += 1;
-                self.recorder.best_effort();
-            }
-            Guarantee::Approx { .. } => {
-                self.stats.approx += 1;
-                self.recorder.approx_answer();
-            }
-            _ => {}
+        if g == Guarantee::BestEffort {
+            self.stats.best_effort += 1;
+            self.recorder.best_effort();
         }
         g
     }

@@ -21,12 +21,6 @@
 //!   structural fingerprints — plus [`FrozenView`] / [`FrozenMultiView`]
 //!   (module [`view`]), their zero-rebuild counterparts that serve
 //!   directly out of mapped v2 snapshot bytes;
-//! * [`FrozenApproxStructure`] / [`FrozenApproxView`] (module [`approx`])
-//!   — the approximate FT-ABFS backend: `O(n·θ)` edges instead of
-//!   `O(n^{5/3})`, answers within a declared `(α, β)` stretch of the true
-//!   post-failure distance, surfaced as [`Guarantee::Approx`] on every
-//!   in-resilience faulted answer and snapshotted under its own "FTBA"
-//!   magic;
 //! * [`QueryEngine`] — per-thread zero-allocation query answering over any
 //!   oracle ([`QueryEngine::try_distance`],
 //!   [`QueryEngine::try_shortest_path`],
@@ -71,7 +65,6 @@
 #![warn(missing_docs)]
 
 pub mod api;
-pub mod approx;
 pub mod engine;
 pub mod frozen;
 pub mod multi;
@@ -82,7 +75,6 @@ pub mod view;
 pub use api::{
     Answer, DistanceMatrix, DistanceOracle, Guarantee, OracleSlab, QueryError, SlabTree,
 };
-pub use approx::{FrozenApproxStructure, FrozenApproxView};
 pub use engine::{Query, QueryEngine, QueryStats, BUDGET_CHECK_STRIDE, DEFAULT_CACHE_CAPACITY};
 pub use frozen::{FrozenStructure, SourceTree};
 pub use ftbfs_telemetry::{NoopRecorder, QueryRecorder};
@@ -90,8 +82,8 @@ pub use multi::FrozenMultiStructure;
 pub use report::BatchReport;
 pub use snapshot::{
     snapshot_layout, SectionEntry, SnapshotError, SnapshotLayout, SnapshotVersion, SNAPSHOT_ALIGN,
-    SNAPSHOT_APPROX_MAGIC, SNAPSHOT_APPROX_VERSION, SNAPSHOT_MAGIC, SNAPSHOT_MULTI_MAGIC,
-    SNAPSHOT_MULTI_VERSION, SNAPSHOT_VERSION, SNAPSHOT_VERSION_V2,
+    SNAPSHOT_MAGIC, SNAPSHOT_MULTI_MAGIC, SNAPSHOT_MULTI_VERSION, SNAPSHOT_VERSION,
+    SNAPSHOT_VERSION_V2,
 };
 pub use view::{FrozenMultiView, FrozenView, SnapshotSource};
 

@@ -41,7 +41,7 @@
 //! readers reject v2 files cleanly via the version/checksum check.
 //!
 //! ```text
-//! magic        4 bytes   "FTBO" / "FTBM" / "FTBA"
+//! magic        4 bytes   "FTBO" / "FTBM"
 //! base         B bytes   the v1 payload, version field = 2
 //! base_check   u64       word-stepped FNV-1a over the base payload
 //! fingerprint  u64       the structure fingerprint (= FNV-1a of the
@@ -87,13 +87,6 @@ pub const SNAPSHOT_VERSION_V2: u16 = 2;
 pub const SNAPSHOT_MULTI_MAGIC: [u8; 4] = *b"FTBM";
 /// The multi-source snapshot format version written by default.
 pub const SNAPSHOT_MULTI_VERSION: u16 = 1;
-/// Magic prefix of every approximate (FT-ABFS) frozen-structure snapshot
-/// (see [`crate::FrozenApproxStructure`]).  Same framing as "FTBO", with
-/// the stretch contract `(α, β)` and the reinforcement knob `θ` stored as
-/// four extra header words between the resilience and the source count.
-pub const SNAPSHOT_APPROX_MAGIC: [u8; 4] = *b"FTBA";
-/// The approximate snapshot format version written by default.
-pub const SNAPSHOT_APPROX_VERSION: u16 = 1;
 /// Alignment (in bytes) of every v2 section start, chosen to match cache
 /// lines so mapped arrays never straddle a line at their first element.
 pub const SNAPSHOT_ALIGN: usize = 64;
@@ -502,109 +495,6 @@ impl<'a> SingleBase<'a> {
     }
 }
 
-/// The parsed base payload of an approximate ("FTBA") snapshot: the
-/// single-source layout with the stretch contract `(α = mult_num /
-/// mult_den, β = add)` and the reinforcement knob `θ` stored as four
-/// extra header words between the resilience and the source count.
-pub(crate) struct ApproxBase<'a> {
-    data: &'a [u8],
-    pub version: u16,
-    pub n: u32,
-    pub resilience: u32,
-    pub mult_num: u32,
-    pub mult_den: u32,
-    pub add: u32,
-    pub theta: u32,
-    pub source_count: usize,
-    sources_off: usize,
-    pub m: usize,
-    edges_off: usize,
-    /// Absolute offset one past the end of the base payload.
-    pub end: usize,
-}
-
-impl<'a> ApproxBase<'a> {
-    /// Walks the base payload of `data` (which must start with the magic),
-    /// checking bounds and the reserved flags, without allocating.
-    pub fn walk(data: &'a [u8]) -> Result<Self, SnapshotError> {
-        let mut r = ByteReader::new(&data[4..]);
-        let version = r.take_u16()?;
-        let flags = r.take_u16()?;
-        if flags != 0 {
-            return corrupt(format!("reserved flags must be zero, got {flags:#06x}"));
-        }
-        let n = r.take_u32()?;
-        let resilience = r.take_u32()?;
-        let mult_num = r.take_u32()?;
-        let mult_den = r.take_u32()?;
-        let add = r.take_u32()?;
-        let theta = r.take_u32()?;
-        let source_count = r.take_u32()? as usize;
-        let sources_off = 4 + r.position();
-        r.take_bytes(4 * source_count)?;
-        let m = r.take_u32()? as usize;
-        let edges_off = 4 + r.position();
-        r.take_bytes(12 * m)?;
-        Ok(ApproxBase {
-            data,
-            version,
-            n,
-            resilience,
-            mult_num,
-            mult_den,
-            add,
-            theta,
-            source_count,
-            sources_off,
-            m,
-            edges_off,
-            end: 4 + r.position(),
-        })
-    }
-
-    pub fn source(&self, i: usize) -> u32 {
-        read_u32_at(self.data, self.sources_off + 4 * i)
-    }
-
-    /// The `(orig, u, v)` triple of base edge `i`.
-    pub fn edge(&self, i: usize) -> (u32, u32, u32) {
-        let at = self.edges_off + 12 * i;
-        (
-            read_u32_at(self.data, at),
-            read_u32_at(self.data, at + 4),
-            read_u32_at(self.data, at + 8),
-        )
-    }
-
-    /// Iterates the `(orig, u, v)` edge triples without per-element bounds
-    /// checks (the walk already validated the region).
-    pub fn edges(&self) -> impl Iterator<Item = (u32, u32, u32)> + '_ {
-        edge_triples(&self.data[self.edges_off..self.edges_off + 12 * self.m])
-    }
-
-    /// Checks the freeze invariants the v1 loader enforces: a well-formed
-    /// stretch contract (`mult_den` nonzero, `α ≥ 1`), at least one
-    /// in-range source, strictly increasing edge ids, endpoints
-    /// `u < v < n`.
-    pub fn validate_invariants(&self) -> Result<(), SnapshotError> {
-        if self.mult_den == 0 {
-            return corrupt("stretch denominator must be nonzero");
-        }
-        if self.mult_num < self.mult_den {
-            return corrupt("multiplicative stretch must be at least one");
-        }
-        if self.source_count == 0 {
-            return corrupt("a frozen structure needs at least one source");
-        }
-        for i in 0..self.source_count {
-            if self.source(i) >= self.n {
-                return corrupt("source vertex out of range");
-            }
-        }
-        validate_edge_triples(self.edges(), self.n, "edge")
-    }
-}
-
 /// Decodes a `12m`-byte region as `(orig, u, v)` little-endian triples.
 pub(crate) fn edge_triples(bytes: &[u8]) -> impl Iterator<Item = (u32, u32, u32)> + '_ {
     bytes.chunks_exact(12).map(|c| {
@@ -759,7 +649,7 @@ impl<'a> MultiBase<'a> {
     }
 }
 
-/// Parses the outer layout of a v2 snapshot (any magic) without
+/// Parses the outer layout of a v2 snapshot (either magic) without
 /// materialising a structure: the base range, the recorded fingerprint and
 /// the fully validated section table.  Tooling and format-compat tests use
 /// this to address individual sections.
@@ -772,9 +662,6 @@ pub fn snapshot_layout(data: &[u8]) -> Result<SnapshotLayout, SnapshotError> {
         (base.version, base.end)
     } else if data[..4] == SNAPSHOT_MULTI_MAGIC {
         let base = MultiBase::walk(data)?;
-        (base.version, base.end)
-    } else if data[..4] == SNAPSHOT_APPROX_MAGIC {
-        let base = ApproxBase::walk(data)?;
         (base.version, base.end)
     } else {
         return Err(SnapshotError::BadMagic);

@@ -157,7 +157,7 @@ impl<'a> From<&'a [u8]> for SnapshotSource<'a> {
 /// walks strictly decrease the distance, so path reconstruction
 /// terminates on any input that passes.
 #[inline]
-pub(crate) fn check_tree(
+fn check_tree(
     dist: LeU32s<'_>,
     parent: LeU32s<'_>,
     source: usize,
@@ -191,7 +191,7 @@ pub(crate) fn check_tree(
 /// grow monotonically to exactly `2m`, and every arc's head and frozen
 /// edge id are in range — everything the BFS kernel indexes with.
 #[inline]
-pub(crate) fn check_csr(
+fn check_csr(
     xadj: LeU32s<'_>,
     heads: LeU32s<'_>,
     edges: LeU32s<'_>,
@@ -222,7 +222,7 @@ pub(crate) fn check_csr(
 
 /// Slices `kind`'s bytes out of `data` as a `u32` array view.
 #[inline]
-pub(crate) fn section_words<'a>(data: &'a [u8], s: &SectionEntry) -> LeU32s<'a> {
+fn section_words<'a>(data: &'a [u8], s: &SectionEntry) -> LeU32s<'a> {
     LeU32s::new(&data[s.offset..s.offset + s.len])
         .expect("section lengths are validated u32-granular")
 }

@@ -14,25 +14,21 @@
 //! fixtures, update the `GOLDEN_*_FINGERPRINT` constants from the
 //! generator's output, and keep the *old-version* fixtures loading.
 
-use ftbfs_graph::{EdgeId, FaultSpec, VertexId};
+use ftbfs_graph::{FaultSpec, VertexId};
 use ftbfs_oracle::{
-    snapshot_layout, DistanceOracle, FrozenApproxStructure, FrozenApproxView, FrozenMultiStructure,
-    FrozenMultiView, FrozenStructure, FrozenView, QueryEngine, SnapshotVersion, SNAPSHOT_ALIGN,
-    SNAPSHOT_VERSION_V2,
+    snapshot_layout, DistanceOracle, FrozenMultiStructure, FrozenMultiView, FrozenStructure,
+    FrozenView, QueryEngine, SnapshotVersion, SNAPSHOT_ALIGN, SNAPSHOT_VERSION_V2,
 };
 
 const GOLDEN_SINGLE_V1: &[u8] = include_bytes!("../testdata/golden_single_v1.ftbo");
 const GOLDEN_SINGLE_V2: &[u8] = include_bytes!("../testdata/golden_single_v2.ftbo");
 const GOLDEN_MULTI_V1: &[u8] = include_bytes!("../testdata/golden_multi_v1.ftbm");
 const GOLDEN_MULTI_V2: &[u8] = include_bytes!("../testdata/golden_multi_v2.ftbm");
-const GOLDEN_APPROX_V1: &[u8] = include_bytes!("../testdata/golden_approx_v1.ftba");
-const GOLDEN_APPROX_V2: &[u8] = include_bytes!("../testdata/golden_approx_v2.ftba");
 
 /// Recorded when the fixtures were generated; see the module docs for the
 /// regeneration procedure.
 const GOLDEN_SINGLE_FINGERPRINT: u64 = 0xd0dd38f276f3bfb8;
 const GOLDEN_MULTI_FINGERPRINT: u64 = 0x8bcbee3d2426c3a9;
-const GOLDEN_APPROX_FINGERPRINT: u64 = 0xe7437184bb4677ef;
 
 #[test]
 fn golden_single_v1_loads_with_the_recorded_fingerprint() {
@@ -108,55 +104,6 @@ fn golden_multi_v2_loads_opens_and_matches_v1() {
 }
 
 #[test]
-fn golden_approx_v1_loads_with_the_recorded_fingerprint() {
-    let loaded =
-        FrozenApproxStructure::load(GOLDEN_APPROX_V1).expect("golden v1 must keep loading");
-    assert_eq!(loaded.fingerprint(), GOLDEN_APPROX_FINGERPRINT);
-    assert_eq!(loaded.save_with(SnapshotVersion::V1), GOLDEN_APPROX_V1);
-}
-
-#[test]
-fn golden_approx_v2_loads_opens_and_matches_v1() {
-    let loaded =
-        FrozenApproxStructure::load(GOLDEN_APPROX_V2).expect("golden v2 must keep loading");
-    assert_eq!(loaded.fingerprint(), GOLDEN_APPROX_FINGERPRINT);
-    assert_eq!(loaded.save_with(SnapshotVersion::V2), GOLDEN_APPROX_V2);
-    let view = FrozenApproxView::open_bytes(GOLDEN_APPROX_V2).expect("golden v2 must keep opening");
-    assert_eq!(view.fingerprint(), GOLDEN_APPROX_FINGERPRINT);
-    let from_v1 = FrozenApproxStructure::load(GOLDEN_APPROX_V1).unwrap();
-    assert_eq!(loaded, from_v1);
-
-    // The stored stretch contract is the default (α = 3/1, β = 4, θ = 4)
-    // and is what faulted answers declare.
-    let p = view.params();
-    assert_eq!((p.mult_num, p.mult_den, p.add, p.theta), (3, 1, 4, 4));
-    assert!(view.guarantee(&FaultSpec::One(EdgeId(0))).is_approx());
-    assert!(view.guarantee(&FaultSpec::None).is_exact());
-
-    // Structure and view answer identically over the golden bytes.
-    let mut ea = QueryEngine::new();
-    let mut eb = QueryEngine::new();
-    for t in 0..view.vertex_count() {
-        let t = VertexId(t as u32);
-        for spec in [FaultSpec::None, FaultSpec::One(EdgeId(0))] {
-            assert_eq!(
-                ea.try_distance(&from_v1, t, &spec).unwrap(),
-                eb.try_distance(&view, t, &spec).unwrap(),
-                "target {t:?} spec {spec:?}"
-            );
-        }
-    }
-
-    let layout = snapshot_layout(GOLDEN_APPROX_V2).expect("layout parses");
-    assert_eq!(layout.fingerprint, GOLDEN_APPROX_FINGERPRINT);
-    assert_eq!(layout.sections.len(), 5, "approx v2 stores five sections");
-    for s in &layout.sections {
-        assert_eq!(s.offset % SNAPSHOT_ALIGN, 0);
-        assert_eq!(s.len % 4, 0);
-    }
-}
-
-#[test]
 fn golden_v1_and_v2_agree_on_identity() {
     // The two encodings of one structure must stay interchangeable: same
     // fingerprint on both magics' pairs, and v1 → v2 re-encoding of the
@@ -165,6 +112,4 @@ fn golden_v1_and_v2_agree_on_identity() {
     assert_eq!(single.save_with(SnapshotVersion::V2), GOLDEN_SINGLE_V2);
     let multi = FrozenMultiStructure::load(GOLDEN_MULTI_V1).unwrap();
     assert_eq!(multi.save_with(SnapshotVersion::V2), GOLDEN_MULTI_V2);
-    let approx = FrozenApproxStructure::load(GOLDEN_APPROX_V1).unwrap();
-    assert_eq!(approx.save_with(SnapshotVersion::V2), GOLDEN_APPROX_V2);
 }

@@ -33,11 +33,10 @@
 use crate::chaos::FaultInjector;
 use crate::error::ServeError;
 use crate::health::HealthCounters;
-use ftbfs_graph::FaultSpec;
 use ftbfs_graph::VertexId;
 use ftbfs_oracle::{
-    DistanceOracle, FrozenApproxView, FrozenMultiView, FrozenView, Guarantee, OracleSlab,
-    SnapshotError, SnapshotSource, SNAPSHOT_APPROX_MAGIC, SNAPSHOT_MAGIC, SNAPSHOT_MULTI_MAGIC,
+    DistanceOracle, FrozenMultiView, FrozenView, OracleSlab, SnapshotError, SnapshotSource,
+    SNAPSHOT_MAGIC, SNAPSHOT_MULTI_MAGIC,
 };
 use ftbfs_telemetry::{EventRing, TraceEvent};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -52,10 +51,6 @@ pub enum SnapshotKind {
     /// A `FrozenMultiStructure` v2 snapshot (`"FTBM"`): per-source slabs,
     /// only declared sources answerable.
     Multi,
-    /// A `FrozenApproxStructure` v2 snapshot (`"FTBA"`): the approximate
-    /// FT-ABFS backend, whose in-resilience faulted answers carry a
-    /// `Guarantee::Approx` stretch contract.
-    Approx,
 }
 
 /// One validated, servable generation of snapshot bytes.
@@ -96,8 +91,6 @@ impl EpochSnapshot {
             SnapshotKind::Multi
         } else if bytes.len() >= 4 && bytes[..4] == SNAPSHOT_MAGIC {
             SnapshotKind::Single
-        } else if bytes.len() >= 4 && bytes[..4] == SNAPSHOT_APPROX_MAGIC {
-            SnapshotKind::Approx
         } else {
             return Err(SnapshotError::BadMagic);
         };
@@ -108,10 +101,6 @@ impl EpochSnapshot {
             }
             SnapshotKind::Multi => {
                 let view = FrozenMultiView::open_bytes(bytes)?;
-                (view.fingerprint(), view.vertex_count())
-            }
-            SnapshotKind::Approx => {
-                let view = FrozenApproxView::open_bytes(bytes)?;
                 (view.fingerprint(), view.vertex_count())
             }
         };
@@ -163,10 +152,6 @@ impl EpochSnapshot {
                 FrozenMultiView::open_bytes(self.source.bytes())
                     .expect("bytes were validated at EpochSnapshot construction"),
             ),
-            SnapshotKind::Approx => SnapshotOracle::Approx(
-                FrozenApproxView::open_bytes(self.source.bytes())
-                    .expect("bytes were validated at EpochSnapshot construction"),
-            ),
         }
     }
 }
@@ -179,8 +164,6 @@ pub enum SnapshotOracle<'a> {
     Single(FrozenView<'a>),
     /// Multi-source per-slab serving view.
     Multi(FrozenMultiView<'a>),
-    /// Approximate (FT-ABFS) serving view with a stretch contract.
-    Approx(FrozenApproxView<'a>),
 }
 
 impl DistanceOracle for SnapshotOracle<'_> {
@@ -188,7 +171,6 @@ impl DistanceOracle for SnapshotOracle<'_> {
         match self {
             SnapshotOracle::Single(v) => v.vertex_count(),
             SnapshotOracle::Multi(v) => v.vertex_count(),
-            SnapshotOracle::Approx(v) => v.vertex_count(),
         }
     }
 
@@ -196,7 +178,6 @@ impl DistanceOracle for SnapshotOracle<'_> {
         match self {
             SnapshotOracle::Single(v) => v.edge_count(),
             SnapshotOracle::Multi(v) => v.edge_count(),
-            SnapshotOracle::Approx(v) => v.edge_count(),
         }
     }
 
@@ -204,7 +185,6 @@ impl DistanceOracle for SnapshotOracle<'_> {
         match self {
             SnapshotOracle::Single(v) => v.sources(),
             SnapshotOracle::Multi(v) => v.sources(),
-            SnapshotOracle::Approx(v) => v.sources(),
         }
     }
 
@@ -212,7 +192,6 @@ impl DistanceOracle for SnapshotOracle<'_> {
         match self {
             SnapshotOracle::Single(v) => v.resilience(),
             SnapshotOracle::Multi(v) => v.resilience(),
-            SnapshotOracle::Approx(v) => v.resilience(),
         }
     }
 
@@ -220,7 +199,6 @@ impl DistanceOracle for SnapshotOracle<'_> {
         match self {
             SnapshotOracle::Single(v) => v.fingerprint(),
             SnapshotOracle::Multi(v) => v.fingerprint(),
-            SnapshotOracle::Approx(v) => v.fingerprint(),
         }
     }
 
@@ -228,17 +206,6 @@ impl DistanceOracle for SnapshotOracle<'_> {
         match self {
             SnapshotOracle::Single(v) => v.slab(source),
             SnapshotOracle::Multi(v) => v.slab(source),
-            SnapshotOracle::Approx(v) => v.slab(source),
-        }
-    }
-
-    /// Delegates so the approximate view's `Guarantee::Approx` override
-    /// survives the kind erasure (the exact views keep the trait default).
-    fn guarantee(&self, spec: &FaultSpec) -> Guarantee {
-        match self {
-            SnapshotOracle::Single(v) => v.guarantee(spec),
-            SnapshotOracle::Multi(v) => v.guarantee(spec),
-            SnapshotOracle::Approx(v) => v.guarantee(spec),
         }
     }
 }
@@ -409,24 +376,6 @@ mod tests {
         assert_eq!(view.resilience(), 2);
         assert!(view.slab(VertexId(0)).is_some());
         assert!(view.edge_count() > 0);
-    }
-
-    #[test]
-    fn approx_snapshots_serve_with_their_stretch_contract() {
-        let g = generators::connected_gnp(24, 0.18, 4);
-        let w = ftbfs_graph::TieBreak::new(&g, 4);
-        let built =
-            ftbfs_core::approx_ftbfs(&g, &w, VertexId(0), ftbfs_core::ApproxParams::DEFAULT);
-        let frozen = ftbfs_oracle::FrozenApproxStructure::freeze(&g, &built);
-        let snap = EpochSnapshot::from_bytes(frozen.save_with(SnapshotVersion::V2)).unwrap();
-        assert_eq!(snap.kind(), SnapshotKind::Approx);
-        assert_eq!(snap.fingerprint(), frozen.fingerprint());
-        let view = snap.open();
-        assert_eq!(view.vertex_count(), 24);
-        let e = g.edges().next().unwrap();
-        assert!(view.guarantee(&FaultSpec::One(e)).is_approx());
-        assert_eq!(view.guarantee(&FaultSpec::None), Guarantee::Exact);
-        assert!(view.slab(VertexId(0)).is_some());
     }
 
     #[test]

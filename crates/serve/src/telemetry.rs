@@ -22,8 +22,7 @@
 //!
 //! Submit, queue-wait and execute are labelled by request `target`
 //! (`"one"`/`"all"`); execute is additionally labelled by the answer
-//! `guarantee` (`"exact"`, `"approx"`, `"best_effort"`, `"error"`).
-//! Workers record
+//! `guarantee` (`"exact"`, `"best_effort"`, `"error"`).  Workers record
 //! into their own histogram shard, so concurrent shards never contend on
 //! a bucket cache line.
 
@@ -53,26 +52,20 @@ fn target_label(index: usize) -> &'static str {
     }
 }
 
-/// Number of `guarantee` label values (see [`guarantee_label`]).
-const GUARANTEE_LABELS: usize = 4;
-
-/// The `guarantee` label index of an outcome: exact, approx, best-effort,
-/// error.  Unknown future guarantee variants land on `"best_effort"` (the
-/// weakest successful class) rather than a fabricated label.
+/// The `guarantee` label index of an outcome: exact, best-effort, error.
 fn guarantee_index(outcome: &Result<Answer<ServeOutput>, ServeError>) -> usize {
     match outcome {
         Ok(a) => match a.guarantee() {
             Guarantee::Exact => 0,
-            Guarantee::Approx { .. } => 1,
-            _ => 2,
+            _ => 1,
         },
-        Err(_) => 3,
+        Err(_) => 2,
     }
 }
 
 /// The `guarantee` label value for an index from [`guarantee_index`].
 fn guarantee_label(index: usize) -> &'static str {
-    ["exact", "approx", "best_effort", "error"][index]
+    ["exact", "best_effort", "error"][index]
 }
 
 /// One server's telemetry plane; obtained from
@@ -88,8 +81,8 @@ pub struct ServeTelemetry {
     stage_submit: [Histogram; 2],
     /// `[one, all]` queue-wait latency.
     stage_queue_wait: [Histogram; 2],
-    /// `[one, all] × [exact, approx, best_effort, error]` execute latency.
-    stage_execute: [[Histogram; GUARANTEE_LABELS]; 2],
+    /// `[one, all] × [exact, best_effort, error]` execute latency.
+    stage_execute: [[Histogram; 3]; 2],
     /// Reorder-buffer residency (all targets).
     stage_reassembly: Histogram,
     /// Per-shard bounded-queue depth gauges.
@@ -119,7 +112,7 @@ impl ServeTelemetry {
         let stage_queue_wait =
             target_hist(names::STAGE_QUEUE_WAIT_NS, names::STAGE_QUEUE_WAIT_NS_HELP);
         let stage_execute = [0, 1].map(|t| {
-            [0, 1, 2, 3].map(|g| {
+            [0, 1, 2].map(|g| {
                 registry.histogram_with(
                     names::STAGE_EXECUTE_NS,
                     names::STAGE_EXECUTE_NS_HELP,
@@ -282,42 +275,6 @@ mod tests {
             1
         );
         assert_eq!(series(names::STAGE_REASSEMBLY_NS, &[]).sum, 500);
-    }
-
-    #[test]
-    fn approx_answers_land_on_their_own_guarantee_label() {
-        let telemetry = ServeTelemetry::new(1);
-        let approx = Answer::new(
-            ServeOutput::Distance(Some(3)),
-            Guarantee::Approx {
-                mult_num: 3,
-                mult_den: 1,
-                add: 4,
-            },
-        );
-        telemetry.record_execute(0, &ServeTarget::One(VertexId(0)), &Ok(approx), 250);
-        let exact = Answer::new(ServeOutput::Distance(Some(3)), Guarantee::Exact);
-        telemetry.record_execute(0, &ServeTarget::One(VertexId(0)), &Ok(exact), 100);
-        let snapshot = telemetry.scrape();
-        let count = |guarantee: &str| {
-            snapshot
-                .histograms
-                .iter()
-                .find(|h| {
-                    h.name == names::STAGE_EXECUTE_NS
-                        && h.labels
-                            == vec![
-                                ("target".to_string(), "one".to_string()),
-                                ("guarantee".to_string(), guarantee.to_string()),
-                            ]
-                })
-                .unwrap_or_else(|| panic!("guarantee series {guarantee} missing"))
-                .count
-        };
-        assert_eq!(count("approx"), 1);
-        assert_eq!(count("exact"), 1);
-        assert_eq!(count("best_effort"), 0);
-        assert_eq!(count("error"), 0);
     }
 
     #[test]

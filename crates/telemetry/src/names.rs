@@ -13,7 +13,7 @@
 //! * `target` — request shape, `"one"` (single distance) or `"all"`
 //!   (all-distances);
 //! * `guarantee` — answer class of an executed request: `"exact"`,
-//!   `"approx"`, `"best_effort"`, or `"error"`;
+//!   `"best_effort"`, or `"error"`;
 //! * `format` — corpus ingestion source format, `"text"` or `"binary"`;
 //! * `suite` / `kind` — corpus scenario suite name and kind slug.
 
@@ -47,12 +47,6 @@ pub const ENGINE_BEST_EFFORT: &str = "ftbfs_engine_best_effort_total";
 /// Help string for [`ENGINE_BEST_EFFORT`].
 pub const ENGINE_BEST_EFFORT_HELP: &str =
     "Queries beyond the design resilience answered best-effort";
-
-/// Counter: queries answered under a bounded-stretch `Approx` guarantee.
-pub const ENGINE_APPROX: &str = "ftbfs_engine_approx_total";
-/// Help string for [`ENGINE_APPROX`].
-pub const ENGINE_APPROX_HELP: &str =
-    "Queries answered under a bounded-stretch Approx guarantee (approximate backend)";
 
 // ---- Serving health (ftbfs-serve, mirrors `ServeHealth`) ----------------
 

@@ -29,12 +29,6 @@ pub trait QueryRecorder {
     /// A query exceeded the design resilience and was answered
     /// best-effort.
     fn best_effort(&mut self);
-    /// A query was answered under a bounded-stretch `Approx` guarantee
-    /// (an approximate backend within its resilience).  Defaults to a
-    /// no-op so recorders written before the approximate backends keep
-    /// compiling.
-    #[inline(always)]
-    fn approx_answer(&mut self) {}
 }
 
 /// The default recorder: every hook is an empty `#[inline(always)]` body,
@@ -69,8 +63,6 @@ pub struct CounterRecorder {
     pub epoch_bumps: Counter,
     /// Best-effort answers ([`names::ENGINE_BEST_EFFORT`]).
     pub best_effort: Counter,
-    /// Bounded-stretch approximate answers ([`names::ENGINE_APPROX`]).
-    pub approx: Counter,
 }
 
 impl CounterRecorder {
@@ -108,7 +100,6 @@ impl CounterRecorder {
                 names::ENGINE_BEST_EFFORT_HELP,
                 owned(),
             ),
-            approx: registry.counter_with(names::ENGINE_APPROX, names::ENGINE_APPROX_HELP, owned()),
         }
     }
 
@@ -121,7 +112,6 @@ impl CounterRecorder {
             searches: Counter::detached(),
             epoch_bumps: Counter::detached(),
             best_effort: Counter::detached(),
-            approx: Counter::detached(),
         }
     }
 }
@@ -146,10 +136,6 @@ impl QueryRecorder for CounterRecorder {
     #[inline]
     fn best_effort(&mut self) {
         self.best_effort.inc();
-    }
-    #[inline]
-    fn approx_answer(&mut self) {
-        self.approx.inc();
     }
 }
 
